@@ -85,6 +85,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzLoad -fuzztime=$(FUZZTIME) ./internal/scenario/
 	$(GO) test -fuzz=FuzzSettleFindsMax -fuzztime=$(FUZZTIME) ./internal/contention/
 	$(GO) test -fuzz=FuzzKernelMatchesSettle -fuzztime=$(FUZZTIME) ./internal/contention/
+	$(GO) test -fuzz=FuzzProtocolMatchesSettle -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -fuzz=FuzzReadJSONL -fuzztime=$(FUZZTIME) ./internal/obs/
 	$(GO) test -fuzz=FuzzCodecRoundTrip -fuzztime=$(FUZZTIME) ./internal/arbd/codec/
 	$(GO) test -fuzz=FuzzRingStability -fuzztime=$(FUZZTIME) ./internal/arbd/cluster/

@@ -3,7 +3,6 @@ package busarb
 import (
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"busarb/client"
@@ -136,11 +135,7 @@ func Run(cfg RunConfig) (Report, error) {
 }
 
 // Protocols returns the registered protocol names, sorted.
-func Protocols() []string {
-	names := core.Names()
-	sort.Strings(names)
-	return names
-}
+func Protocols() []string { return core.Names() }
 
 // NewProtocol builds the named protocol for an n-agent bus. Names are
 // those of the paper: "RR1", "RR2", "RR3" (the three round-robin

@@ -1,6 +1,7 @@
 // Command arbd serves bus-style arbitration: named resources are
-// granted to networked agents by the paper's protocols, re-hosted as
-// real-time grant schedulers (internal/grant, internal/arbd), over two
+// granted to networked agents by the paper's protocols — any protocol
+// arbsim simulates (FP, RR1-3, FCFS1/2, AAP1/2, Hybrid, the priority
+// variants), driven in real time through internal/grant — over two
 // transports sharing one daemon — JSON over HTTP (-addr) and the
 // compact binary protocol (-baddr; spec in docs/WIRE.md).
 //
@@ -119,7 +120,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8321", "HTTP listen address (host:port; port 0 picks a free port)")
 	baddr := flag.String("baddr", "", "binary-protocol listen address (empty: binary transport off)")
 	resources := flag.String("resources", "bus:10:RR1",
-		"comma-separated resource specs, each name:agents:protocol (tree form: name:8x4:RR1/FCFS2, leaves first)")
+		"comma-separated resource specs, each name:agents:protocol with any arbsim protocol name (tree form: name:8x4:RR1/FCFS2, leaves first)")
 	tick := flag.Duration("tick", 0, "bus-cycle tick for every resource (0: 1ms default)")
 	ttl := flag.Duration("ttl", 0, "maximum lease lifetime (0: 30s default)")
 	queue := flag.Int("queue", 0, "max queued waiters per resource (0: 1024 default)")

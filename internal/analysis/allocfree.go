@@ -21,8 +21,9 @@ import (
 //   - internal/bitarb: the whole package (the bit-parallel kernels);
 //   - internal/arbd/codec: the whole package (the wire codec's
 //     Append/Decode run per frame);
-//   - internal/grant: the resolve path (Enqueue/Resolve and their
-//     helpers) — constructors and the registry are setup;
+//   - internal/grant: the adapter's per-grant methods
+//     (Enqueue/Resolve/Pending/Repasses/Reset) — constructors and
+//     ByName are setup;
 //   - internal/topo: the steady-state tree operations — building the
 //     tree is setup.
 //
@@ -69,12 +70,10 @@ var allocFreeScope = []struct {
 	{"internal/bitarb", nil},
 	{"internal/arbd/codec", nil},
 	{"internal/grant", []string{
-		"Enqueue", "Resolve", "Pending", "Reset",
-		"enqueue", "grantWin", "reset", "resolveOracle",
+		"Enqueue", "Resolve", "Pending", "Repasses", "Reset", "tick",
 	}},
 	{"internal/topo", []string{
-		"OnRequest", "OnServiceStart", "Arbitrate", "LastHops",
-		"Enqueue", "Resolve", "Pending", "Repasses", "Reset", "checkAgent",
+		"OnRequest", "OnServiceStart", "Arbitrate", "LastHops", "Reset", "checkAgent",
 	}},
 }
 

@@ -23,14 +23,15 @@ var simPackagePaths = []string{
 	// The bit-parallel arbitration kernel every hot path resolves
 	// through: a nondeterminism here would skew every protocol at once.
 	"internal/bitarb",
-	// grant re-hosts the protocols as real-time schedulers; the protocol
-	// state machines themselves must stay as deterministic as core's.
+	// grant drives core's protocols in real time; the adapter's state
+	// (request bitmap, synthetic clock) must stay as deterministic as
+	// core's.
 	// (internal/arbd is deliberately absent: its shard loops are
 	// wall-clock by design — tickers, lease TTLs, client deadlines.)
 	"internal/grant",
-	// The arbitration-tree layer composes core protocols and grant
-	// schedulers into hierarchies; both its faces sit on simulator and
-	// daemon hot paths, so it inherits both packages' discipline.
+	// The arbitration-tree layer composes core protocols into
+	// hierarchies that both the simulators and the daemon run, so it
+	// inherits both packages' discipline.
 	"internal/topo",
 	// The binary wire codec: pure byte-shuffling on the daemon's hot
 	// path, so it must stay clock-free and allocation-free like the

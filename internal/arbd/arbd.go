@@ -1,11 +1,12 @@
 // Package arbd is arbitration-as-a-service: the paper's bus
-// arbitration protocols (re-hosted as real-time grant schedulers by
-// internal/grant) granting named shared resources to networked clients
-// over HTTP. It is the first subsystem in this repository where
-// wall-clock concurrency is the product rather than a test harness.
+// arbitration protocols — any internal/core protocol or topo tree,
+// driven in wall-clock time through the internal/grant adapter —
+// granting named shared resources to networked clients over HTTP. It
+// is the first subsystem in this repository where wall-clock
+// concurrency is the product rather than a test harness.
 //
 // Each configured resource is one shard: a single goroutine that owns
-// a grant.Scheduler and runs the "bus cycle" — a ticker that batches
+// a *grant.Scheduler and runs the "bus cycle" — a ticker that batches
 // the acquire requests that arrived since the last tick, expires
 // leases and waiter deadlines, and, when the resource is free, runs
 // one wired-OR arbitration and grants the winner a lease. Mirroring
@@ -23,6 +24,8 @@ package arbd
 
 import (
 	"context"
+	"crypto/rand"
+	"encoding/hex"
 	"fmt"
 	"sync"
 	"time"
@@ -40,13 +43,14 @@ type ResourceConfig struct {
 	// Topo set it may be left 0 (the tree's total) but must match the
 	// tree when given.
 	Agents int
-	// Protocol names the grant scheduler ("FP", "RR1", "RR3", "FCFS1",
-	// "FCFS2"). Set exactly one of Protocol and Topo.
+	// Protocol names the arbitration protocol: any internal/core name
+	// ("FP", "RR1", "RR3", "FCFS1", "FCFS2", "Hybrid", ...). Set
+	// exactly one of Protocol and Topo.
 	Protocol string
 	// Topo, if non-nil, arbitrates the resource hierarchically: agents
 	// compete in clusters and cluster winners compete upward, each node
-	// running its own protocol (internal/topo's grant face). Agent
-	// identities map onto leaves depth-first.
+	// running its own protocol (a topo.SimTree behind the grant
+	// adapter). Agent identities map onto leaves depth-first.
 	Topo *topo.Spec
 	// Tick is the bus cycle: pending acquires are batched and at most
 	// one arbitration resolves per tick. Default 1ms.
@@ -127,10 +131,7 @@ func (cfg Config) Validate() error {
 			if rc.Protocol != "" {
 				return fmt.Errorf("arbd: resource %q: set Protocol or Topo, not both", rc.Name)
 			}
-			if err := rc.Topo.Validate(func(name string) error {
-				_, err := grant.ByName(name)
-				return err
-			}); err != nil {
+			if err := rc.Topo.Validate(); err != nil {
 				return fmt.Errorf("arbd: resource %q: %v", rc.Name, err)
 			}
 			if total := rc.Topo.TotalAgents(); rc.Agents != 0 && rc.Agents != total {
@@ -169,13 +170,13 @@ func New(cfg Config) (*Daemon, error) {
 	d := &Daemon{shards: make(map[string]*shard, len(cfg.Resources)), epoch: time.Now()}
 	for _, rc := range cfg.Resources {
 		rc = rc.withDefaults()
-		var sched grant.Scheduler
+		var sched *grant.Scheduler
 		if rc.Topo != nil {
-			tree, err := topo.NewGrantTree(rc.Topo)
+			tree, err := topo.NewSimTree(rc.Topo)
 			if err != nil {
 				return nil, err // unreachable after Validate; kept for safety
 			}
-			sched = tree
+			sched = grant.New(tree)
 		} else {
 			f, err := grant.ByName(rc.Protocol)
 			if err != nil {
@@ -297,17 +298,16 @@ type shard struct {
 	tally   *tally
 
 	// Loop-owned state (no locking: single goroutine).
-	sched       grant.Scheduler // owned by the loop goroutine
-	waiters     [][]*acquireReq // owned by the loop goroutine; per-agent FIFO, index by identity
-	nwait       int             // owned by the loop goroutine
-	leaseToken  string          // owned by the loop goroutine; "" when the resource is free
-	leaseAgent  int             // owned by the loop goroutine
-	leaseExpiry time.Time       // owned by the loop goroutine
-	tokenSeq    uint64          // owned by the loop goroutine
-	repassSeen  int64           // owned by the loop goroutine
+	sched       *grant.Scheduler // owned by the loop goroutine
+	waiters     [][]*acquireReq  // owned by the loop goroutine; per-agent FIFO, index by identity
+	nwait       int              // owned by the loop goroutine
+	leaseToken  string           // owned by the loop goroutine; "" when the resource is free
+	leaseAgent  int              // owned by the loop goroutine
+	leaseExpiry time.Time        // owned by the loop goroutine
+	repassSeen  int64            // owned by the loop goroutine
 }
 
-func newShard(rc ResourceConfig, sched grant.Scheduler, epoch time.Time, extra obs.Probe) *shard {
+func newShard(rc ResourceConfig, sched *grant.Scheduler, epoch time.Time, extra obs.Probe) *shard {
 	s := &shard{
 		cfg:       rc,
 		epoch:     epoch,
@@ -433,10 +433,8 @@ func (s *shard) tick() {
 		return
 	}
 	w := s.sched.Resolve()
-	if rp, ok := s.sched.(grant.Repasser); ok {
-		for ; s.repassSeen < rp.Repasses(); s.repassSeen++ {
-			s.emit(obs.Event{Time: s.now(), Kind: obs.Repass})
-		}
+	for ; s.repassSeen < s.sched.Repasses(); s.repassSeen++ {
+		s.emit(obs.Event{Time: s.now(), Kind: obs.Repass})
 	}
 	if w == 0 {
 		return
@@ -516,8 +514,7 @@ func (s *shard) grantLease(agent int, req *acquireReq, now time.Time) {
 	if ttl <= 0 || ttl > s.cfg.TTL {
 		ttl = s.cfg.TTL
 	}
-	s.tokenSeq++
-	token := fmt.Sprintf("%s-%d-%d", s.cfg.Name, agent, s.tokenSeq)
+	token := newToken()
 	s.leaseToken = token
 	s.leaseAgent = agent
 	s.leaseExpiry = now.Add(ttl)
@@ -528,6 +525,21 @@ func (s *shard) grantLease(agent int, req *acquireReq, now time.Time) {
 		Token:    token,
 		TTL:      ttl,
 	}}
+}
+
+// newToken returns a fresh lease token: 128 random bits, hex-encoded.
+// A token is the only proof of tenure a release carries, so it must
+// not be derivable from the resource, the agent or a grant count —
+// any client could then release another agent's lease, and a holder
+// from an earlier daemon run could release the current one.
+func newToken() string {
+	var b [16]byte
+	if _, err := rand.Read(b[:]); err != nil {
+		// Only toolchains before Go 1.24 return this (later ones crash
+		// the program themselves); a token without entropy is forgeable.
+		panic(fmt.Sprintf("arbd: reading lease token entropy: %v", err))
+	}
+	return hex.EncodeToString(b[:])
 }
 
 // acquire submits one request to the shard and waits for its reply,

@@ -90,6 +90,81 @@ func TestAcquireReleaseRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLeaseTokenNotGuessable pins that a token cannot be derived
+// from what a client knows: releasing with the name-agent-sequence
+// string a predictable token would have used is refused, and the
+// real holder keeps the resource.
+func TestLeaseTokenNotGuessable(t *testing.T) {
+	_, srv := newTestDaemon(t, res("bus", 4, "RR1"))
+
+	code, lease := httpAcquire(t, srv.URL, "bus", 3, "")
+	if code != http.StatusOK {
+		t.Fatalf("acquire status %d, want 200", code)
+	}
+	if code := httpRelease(t, srv.URL, "bus", "bus-3-1"); code != http.StatusNotFound {
+		t.Fatalf("guessed-token release status %d, want 404", code)
+	}
+	// Still held: another agent's acquire times out behind it.
+	if code, _ := httpAcquire(t, srv.URL, "bus", 1, "&timeout=30ms"); code != http.StatusRequestTimeout {
+		t.Fatalf("acquire behind the holder status %d, want 408", code)
+	}
+	if code := httpRelease(t, srv.URL, "bus", lease.Token); code != http.StatusOK {
+		t.Fatalf("holder release status %d, want 200", code)
+	}
+}
+
+// TestLeaseTokensDifferAcrossDaemons pins that a restarted daemon
+// does not reissue an earlier run's tokens, so a stale holder cannot
+// release the current holder's lease.
+func TestLeaseTokensDifferAcrossDaemons(t *testing.T) {
+	var tokens [2]string
+	for i := range tokens {
+		d, err := New(Config{Resources: []ResourceConfig{res("bus", 4, "RR1")}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lease, serr := d.Acquire(context.Background(), "bus", 3, time.Second, 0)
+		d.Close()
+		if serr != nil {
+			t.Fatalf("daemon %d acquire: %v", i, serr)
+		}
+		tokens[i] = lease.Token
+	}
+	if tokens[0] == tokens[1] {
+		t.Fatalf("two daemons issued the same first token %q", tokens[0])
+	}
+}
+
+// TestCoreProtocolsServe pins that a resource can run any core
+// protocol, not only the ones the paper's tables feature: two
+// contending agents are both granted, in-process.
+func TestCoreProtocolsServe(t *testing.T) {
+	for _, proto := range []string{"RR2", "AAP1", "Hybrid"} {
+		t.Run(proto, func(t *testing.T) {
+			d, _ := newTestDaemon(t, res("bus", 4, proto))
+			ctx := context.Background()
+			first, serr := d.Acquire(ctx, "bus", 2, time.Second, 0)
+			if serr != nil {
+				t.Fatalf("agent 2: %v", serr)
+			}
+			done := make(chan *statusError, 1)
+			go func() {
+				lease, serr := d.Acquire(ctx, "bus", 4, 5*time.Second, 0)
+				if serr == nil {
+					serr = d.Release("bus", lease.Token)
+				}
+				done <- serr
+			}()
+			if serr := d.Release("bus", first.Token); serr != nil {
+				t.Fatalf("release agent 2: %v", serr)
+			}
+			if serr := <-done; serr != nil {
+				t.Fatalf("agent 4: %v", serr)
+			}
+		})
+	}
+}
+
 func TestBadRequests(t *testing.T) {
 	_, srv := newTestDaemon(t, res("bus", 4, "RR1"))
 

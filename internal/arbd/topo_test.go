@@ -119,7 +119,7 @@ func TestTreeResourceValidate(t *testing.T) {
 		{"both", ResourceConfig{Name: "r", Protocol: "RR1", Topo: leaf}, "not both"},
 		{"agents mismatch", ResourceConfig{Name: "r", Agents: 5, Topo: tree}, "does not match"},
 		{"bad proto", ResourceConfig{Name: "r",
-			Topo: &topo.Spec{Protocol: "RR2", Agents: 4}}, "unknown protocol"},
+			Topo: &topo.Spec{Protocol: "BOGUS", Agents: 4}}, "unknown protocol"},
 		{"malformed tree", ResourceConfig{Name: "r",
 			Topo: &topo.Spec{Protocol: "FCFS2", Children: []topo.Spec{
 				{Protocol: "RR1", Agents: 4}}}}, "at least 2 children"},

@@ -356,10 +356,7 @@ func (cfg Config) Validate() error {
 	case cfg.Protocol != nil && cfg.Topology != nil:
 		return fmt.Errorf("bussim: set exactly one of Protocol and Topology")
 	case cfg.Topology != nil:
-		if err := cfg.Topology.Validate(func(name string) error {
-			_, err := core.ByName(name)
-			return err
-		}); err != nil {
+		if err := cfg.Topology.Validate(); err != nil {
 			return err
 		}
 		if total := cfg.Topology.TotalAgents(); total != cfg.N {

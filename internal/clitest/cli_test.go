@@ -404,6 +404,22 @@ func TestArbsimTopologyScenario(t *testing.T) {
 	}
 }
 
+// TestArbsimUnknownProtocolStable pins that an unknown-protocol error
+// lists the known protocols in a fixed order: the same misuse prints
+// byte-identical stderr on every run.
+func TestArbsimUnknownProtocolStable(t *testing.T) {
+	bins := buildCmds(t)
+	_, first := run(t, bins["arbsim"], "", "-protocol", "BOGUS")
+	for i := 0; i < 2; i++ {
+		if _, again := run(t, bins["arbsim"], "", "-protocol", "BOGUS"); again != first {
+			t.Fatalf("stderr differs between runs:\n%s\n---\n%s", first, again)
+		}
+	}
+	if !strings.Contains(first, "known protocols:") {
+		t.Fatalf("stderr %q does not list the known protocols", first)
+	}
+}
+
 func TestCLISuccessPathsExitZero(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real simulations")

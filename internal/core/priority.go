@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"busarb/internal/ident"
 )
@@ -337,11 +338,12 @@ func ByName(name string) (Factory, error) {
 	return f, nil
 }
 
-// Names returns all registered protocol names (unsorted).
+// Names returns all registered protocol names, sorted.
 func Names() []string {
 	out := make([]string, 0, len(Registry))
 	for k := range Registry {
 		out = append(out, k)
 	}
+	sort.Strings(out)
 	return out
 }

@@ -5,19 +5,15 @@ import (
 	"testing"
 )
 
-// BenchmarkGrantResolve measures one saturated grant through the
-// wired-OR resolution — the arbd shard loop's per-tick cost — for each
-// protocol. The hot path is alloc-guarded (TestSteadyStateAllocs pins
+// BenchmarkGrantResolve measures one saturated grant — the arbd shard
+// loop's per-grant scheduling cost — for each of the paper's
+// protocols. The hot path is alloc-guarded (TestSteadyStateAllocs pins
 // 0); ReportAllocs keeps the trajectory honest in BENCH_*.json.
 func BenchmarkGrantResolve(b *testing.B) {
-	for _, name := range Names() {
+	for _, name := range []string{"FCFS1", "FCFS2", "FP", "RR1", "RR3"} {
 		for _, n := range []int{8, 32, 64, 1024, 4096} {
-			f, err := ByName(name)
-			if err != nil {
-				b.Fatal(err)
-			}
 			b.Run(fmt.Sprintf("%s/n=%d", name, n), func(b *testing.B) {
-				s := f(n)
+				s := mustByName(b, name, n)
 				for id := 1; id <= n; id++ {
 					s.Enqueue(id)
 				}

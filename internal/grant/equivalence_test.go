@@ -7,19 +7,15 @@ import (
 	"busarb/internal/rng"
 )
 
-// The equivalence property: a grant.Scheduler is the simulators'
-// protocol logic re-hosted in real time, so on the same deterministic
-// arrival trace it must produce the same winner sequence as its
-// internal/core counterpart driven the way internal/bussim drives it
-// (OnRequest per arrival, Arbitrate over the ascending waiting set,
-// repass re-arbitration, OnServiceStart for the winner). This is the
-// contract that lets arbd claim the paper's fairness results transfer
-// to the networked daemon.
-
-// coreDriver adapts a core.Protocol to the Enqueue/Resolve surface,
-// replaying bussim's calling convention with strictly increasing
-// synthetic times (distinct wall-clock arrivals: over the network no
-// two requests share FCFS2's a-incr sensing window).
+// The serving face must drive a protocol exactly the way
+// internal/bussim does — OnRequest per arrival, Arbitrate over the
+// ascending waiting set (again on a repass), OnServiceStart for the
+// winner — since that is what lets arbd claim the simulators' fairness
+// results. coreDriver is that calling convention written out directly,
+// with the waiting set kept as a []bool rather than the scheduler's
+// request bitmap, and strictly increasing synthetic times (distinct
+// wall-clock arrivals: over the network no two requests share FCFS2's
+// a-incr sensing window).
 type coreDriver struct {
 	proto    core.Protocol
 	pending  []bool
@@ -68,26 +64,23 @@ func (d *coreDriver) resolve() int {
 	return w
 }
 
-// TestSchedulerMatchesSimulatorProtocol cross-checks every grant
-// protocol against its simulator counterpart on randomized arrival
-// traces: random interleavings of arrivals (random idle agent) and
-// resolutions, over several agent counts and seeds.
+// TestSchedulerMatchesSimulatorProtocol cross-checks the scheduler
+// over every core protocol against the simulator's calling convention
+// on randomized arrival traces: random interleavings of arrivals
+// (random idle agent) and resolutions, over several agent counts and
+// seeds.
 func TestSchedulerMatchesSimulatorProtocol(t *testing.T) {
 	const ops = 2000
-	for _, name := range Names() {
-		gf, err := ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, name := range core.Names() {
 		cf, err := core.ByName(name)
 		if err != nil {
-			t.Fatalf("core counterpart for %s: %v", name, err)
+			t.Fatal(err)
 		}
 		for _, n := range []int{2, 3, 5, 8, 16} {
 			for seed := uint64(1); seed <= 3; seed++ {
 				t.Run(name, func(t *testing.T) {
 					src := rng.New(seed*1000 + uint64(n))
-					sched := gf(n)
+					sched := New(cf(n))
 					driver := newCoreDriver(cf, n)
 					grants := 0
 					for op := 0; op < ops; op++ {
@@ -116,8 +109,8 @@ func TestSchedulerMatchesSimulatorProtocol(t *testing.T) {
 					if grants < ops/4 {
 						t.Fatalf("trace exercised only %d grants", grants)
 					}
-					if r, ok := sched.(Repasser); ok && r.Repasses() != driver.repasses {
-						t.Errorf("repasses: scheduler %d, simulator %d", r.Repasses(), driver.repasses)
+					if sched.Repasses() != driver.repasses {
+						t.Errorf("repasses: scheduler %d, simulator %d", sched.Repasses(), driver.repasses)
 					}
 				})
 			}

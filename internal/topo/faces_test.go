@@ -9,24 +9,26 @@ import (
 	"busarb/internal/rng"
 )
 
-// drive replays one random request/grant history through both faces
-// of the same spec under the simulators' convention (enqueue =
-// OnRequest, grant = Arbitrate + OnServiceStart) and requires
-// identical winner sequences. Valid for any tree whose RR3 nodes, if
-// present, are at the root: a repass below the root re-runs ancestor
-// arbitrations on the simulator face (the whole composite settles
-// again) while the serving face folds it inside the node, so the two
-// faces' dynamic state diverges by design there.
+// A tree has two faces over one implementation: the simulators drive
+// a SimTree as a core.Protocol, and arbd serves one through the grant
+// adapter. drive replays one random request/grant history through both
+// — the simulator face under bussim's convention (enqueue = OnRequest,
+// grant = Arbitrate until no repass, then OnServiceStart), the serving
+// face through Enqueue/Resolve on a second tree — and requires
+// identical winner sequences. It also pins the simulator face's
+// per-hop record: LastHops lists the winner's path root first, each
+// hop's line going up no later than the resolve.
 func drive(t *testing.T, spec *Spec, seed uint64, steps int) {
 	t.Helper()
 	sim, err := NewSimTree(spec)
 	if err != nil {
 		t.Fatalf("NewSimTree: %v", err)
 	}
-	gt, err := NewGrantTree(spec)
+	served, err := NewSimTree(spec)
 	if err != nil {
-		t.Fatalf("NewGrantTree: %v", err)
+		t.Fatalf("NewSimTree: %v", err)
 	}
+	gt := grant.New(served)
 	n := spec.TotalAgents()
 	if sim.N() != n || gt.N() != n {
 		t.Fatalf("N: sim %d grant %d, want %d", sim.N(), gt.N(), n)
@@ -110,6 +112,7 @@ func TestFacesAgree(t *testing.T) {
 		"4x4-FCFS1-RR1": mustUniform(t, []int{4, 4}, []string{"FCFS1", "RR1"}),
 		"4x2x2-FP-RR1-FCFS1": mustUniform(t, []int{4, 2, 2},
 			[]string{"FP", "RR1", "FCFS1"}),
+		"4x4-RR3-RR1": mustUniform(t, []int{4, 4}, []string{"RR3", "RR1"}),
 		"root-RR3": {Protocol: "RR3", Children: []Spec{
 			{Protocol: "RR1", Agents: 3}, {Protocol: "FCFS2", Agents: 5},
 			{Protocol: "FP", Agents: 8}}},
@@ -185,39 +188,24 @@ func TestDepth1DelegatesExactly(t *testing.T) {
 }
 
 // TestTreeAllocFree pins the acceptance criterion: steady-state
-// operation of both faces at 1024 agents allocates nothing.
+// serving of a 1024-agent tree — the grant adapter over a 32x32
+// SimTree — allocates nothing.
 func TestTreeAllocFree(t *testing.T) {
 	spec := mustUniform(t, []int{32, 32}, []string{"RR1", "FCFS2"})
-	sim, err := NewSimTree(spec)
+	tree, err := NewSimTree(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gt, err := NewGrantTree(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gt := grant.New(tree)
 	n := spec.TotalAgents()
-	snap := make([]int, 0, n)
-	now := 0.0
 	cycle := func() {
 		for g := 1; g <= n; g += 7 {
-			now += 1
-			sim.OnRequest(g, now)
 			gt.Enqueue(g)
 		}
-		snap = snap[:0]
-		for g := 1; g <= n; g += 7 {
-			snap = append(snap, g)
-		}
-		for len(snap) > 0 {
-			out := sim.Arbitrate(snap)
-			now += 1
-			sim.OnServiceStart(out.Winner, now)
-			if w := gt.Resolve(); w != out.Winner {
-				t.Fatalf("faces disagree: sim %d, grant %d", out.Winner, w)
+		for gt.Pending() > 0 {
+			if gt.Resolve() == 0 {
+				t.Fatal("Resolve = 0 with pending agents")
 			}
-			i := sort.SearchInts(snap, out.Winner)
-			snap = append(snap[:i], snap[i+1:]...)
 		}
 	}
 	cycle() // warm scratch buffers
@@ -226,15 +214,15 @@ func TestTreeAllocFree(t *testing.T) {
 	}
 }
 
-// TestGrantTreeRepasses sums RR3 empty-pass counters across nodes.
+// TestGrantTreeRepasses pins that a served tree reports every RR3
+// empty pass, at any level, through the adapter's repass count.
 func TestGrantTreeRepasses(t *testing.T) {
 	spec := mustUniform(t, []int{4, 2}, []string{"RR3", "RR3"})
-	gt, err := NewGrantTree(spec)
+	tree, err := NewSimTree(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var _ grant.Scheduler = gt
-	var _ grant.Repasser = gt
+	gt := grant.New(tree)
 	gt.Enqueue(1)
 	gt.Enqueue(5)
 	// Fresh RR3 registers hold 0, so the first resolution at every

@@ -20,7 +20,7 @@ type Hop struct {
 	LineUp float64
 }
 
-// simNode is one tree node on the simulator face.
+// simNode is one tree node.
 type simNode struct {
 	proto    core.Protocol
 	parent   int // node index, -1 at the root
@@ -36,9 +36,10 @@ type simNode struct {
 	lineUp float64
 }
 
-// SimTree is an arbitration tree on the simulators' face: it
-// implements core.Protocol over the global agent identities, so
-// bussim runs a tree exactly as it runs a flat protocol. A
+// SimTree is an arbitration tree: it implements core.Protocol over
+// the global agent identities, so bussim runs a tree exactly as it
+// runs a flat protocol, and arbd serves one through the same grant
+// adapter as a flat protocol. A
 // single-leaf tree delegates every call to its one protocol instance
 // and is bit-identical to the flat bus (the refactor's safety net,
 // pinned by bussim's equivalence test).
@@ -58,13 +59,10 @@ type SimTree struct {
 	buf     []int     // per-level waiting-set scratch
 }
 
-// NewSimTree builds the simulator face of spec. Every node's protocol
-// must be registered in core (the simulators' registry).
+// NewSimTree builds the tree spec describes. Every node's protocol
+// must be registered in core.
 func NewSimTree(spec *Spec) (*SimTree, error) {
-	if err := spec.Validate(func(name string) error {
-		_, err := core.ByName(name)
-		return err
-	}); err != nil {
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	n := spec.TotalAgents()
@@ -161,8 +159,8 @@ func (t *SimTree) OnRequest(g int, now float64) {
 // consumed at every level on its path. A cluster that still has
 // waiting agents re-asserts its line immediately — a fresh request at
 // the parent's bus, which is what keeps FCFS counters ranking cluster
-// lines by (re-)arrival order (the multi-waiter identity semantics of
-// the serving face, mirrored here).
+// lines by (re-)arrival order — the same re-assertion the arbd shard
+// loop applies to an identity shared by several waiting clients.
 func (t *SimTree) OnServiceStart(g int, now float64) {
 	t.checkAgent(g)
 	ni := t.leafOf[g]

@@ -23,16 +23,19 @@
 // by boundary lookups, allocation-free, on top of the bit-parallel
 // kernel paths of the per-node protocols.
 //
-// The tree has two faces: SimTree implements core.Protocol (the
-// simulators' face; a single-node tree is bit-identical to the flat
-// bus) and GrantTree implements grant.Scheduler (the serving face
-// behind arbd resource specs like "8x4:RR1/FCFS2").
+// SimTree implements core.Protocol, so a tree runs wherever a flat
+// protocol does: bussim simulates it (a single-node tree is
+// bit-identical to the flat bus), and arbd serves it through the same
+// grant adapter as a flat protocol, behind resource specs like
+// "8x4:RR1/FCFS2".
 package topo
 
 import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"busarb/internal/core"
 )
 
 // MaxDepth bounds tree depth; deeper specs are rejected by Validate.
@@ -52,9 +55,8 @@ const MaxDepth = 8
 //
 // A flat bus is the degenerate single-leaf Spec {Protocol, Agents}.
 type Spec struct {
-	// Protocol names this node's arbiter ("RR1", "FCFS2", ...). The
-	// valid set depends on the face: NewSimTree accepts any core
-	// protocol, NewGrantTree any grant scheduler.
+	// Protocol names this node's arbiter: any core protocol ("RR1",
+	// "FCFS2", ...).
 	Protocol string `json:"protocol"`
 	// Agents is the number of agents on a leaf cluster's bus.
 	Agents int `json:"agents,omitempty"`
@@ -93,23 +95,21 @@ func (s *Spec) Depth() int {
 
 // Validate walks the spec, checking shape (exactly one of agents and
 // children, at least 2 children per internal node, depth within
-// MaxDepth) and every protocol name through avail. Errors name the
-// offending node by path, e.g. `children[1].children[0]`.
-func (s *Spec) Validate(avail func(protocol string) error) error {
-	return s.validate(avail, "topology", 1)
+// MaxDepth) and that every protocol name is a core protocol. Errors
+// name the offending node by path, e.g. `children[1].children[0]`.
+func (s *Spec) Validate() error {
+	return s.validate("topology", 1)
 }
 
-func (s *Spec) validate(avail func(string) error, path string, depth int) error {
+func (s *Spec) validate(path string, depth int) error {
 	if depth > MaxDepth {
 		return fmt.Errorf("topo: %s: depth exceeds %d levels", path, MaxDepth)
 	}
 	if s.Protocol == "" {
 		return fmt.Errorf("topo: %s: missing protocol", path)
 	}
-	if avail != nil {
-		if err := avail(s.Protocol); err != nil {
-			return fmt.Errorf("topo: %s: %w", path, err)
-		}
+	if _, err := core.ByName(s.Protocol); err != nil {
+		return fmt.Errorf("topo: %s: %w", path, err)
 	}
 	if s.Agents != 0 && len(s.Children) != 0 {
 		return fmt.Errorf("topo: %s: set agents or children, not both", path)
@@ -125,7 +125,7 @@ func (s *Spec) validate(avail func(string) error, path string, depth int) error 
 	}
 	for i := range s.Children {
 		child := fmt.Sprintf("%s.children[%d]", path, i)
-		if err := s.Children[i].validate(avail, child, depth+1); err != nil {
+		if err := s.Children[i].validate(child, depth+1); err != nil {
 			return err
 		}
 	}

@@ -3,14 +3,7 @@ package topo
 import (
 	"strings"
 	"testing"
-
-	"busarb/internal/core"
 )
-
-func coreAvail(name string) error {
-	_, err := core.ByName(name)
-	return err
-}
 
 func mustUniform(t *testing.T, dims []int, protos []string) *Spec {
 	t.Helper()
@@ -43,7 +36,7 @@ func TestSpecValidate(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := c.spec.Validate(coreAvail)
+			err := c.spec.Validate()
 			if c.wantErr == "" {
 				if err != nil {
 					t.Fatalf("Validate: %v", err)
@@ -63,7 +56,7 @@ func TestSpecValidateDepthBound(t *testing.T) {
 	for i := 0; i < MaxDepth; i++ {
 		spec = Spec{Protocol: "RR1", Children: []Spec{spec, {Protocol: "RR1", Agents: 2}}}
 	}
-	if err := spec.Validate(coreAvail); err == nil || !strings.Contains(err.Error(), "depth") {
+	if err := spec.Validate(); err == nil || !strings.Contains(err.Error(), "depth") {
 		t.Fatalf("Validate deep spec = %v, want depth error", err)
 	}
 }

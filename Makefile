@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-stats test race bench bench-json bench-gate check cluster-smoke fuzz paper examples examples-smoke trace-demo clean
+.PHONY: all build vet lint lint-stats test race bench bench-json bench-gate check cluster-smoke perfbench fuzz paper examples examples-smoke trace-demo clean
 
 all: build vet test
 
@@ -39,7 +39,7 @@ race:
 # The full gate: what CI (and a careful PR author) runs. gofmt -l
 # prints nothing when the tree is clean; grep flips that into an exit
 # status.
-check: vet build lint race cluster-smoke examples-smoke
+check: vet build lint race cluster-smoke examples-smoke perfbench
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then echo "gofmt needed:"; echo "$$fmt_out"; exit 1; fi
 
 # Three in-process arbd nodes under the race detector: a fresh binary
@@ -48,6 +48,13 @@ check: vet build lint race cluster-smoke examples-smoke
 # run even when the race tier already cached the package.
 cluster-smoke:
 	$(GO) test -race -run 'TestClusterSmoke|TestForwardingEquivalence|TestRoutedFlagOnWire' -count=1 ./internal/arbd/cluster/
+
+# The benchmark module (_perfbench/, its own go.mod with a replace onto
+# this tree) compiles against the arbd, client, cluster and codec APIs.
+# Vet and test it here so an API change that breaks the benchmark fails
+# the gate rather than the next benchmark run.
+perfbench:
+	cd _perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Regenerate the sample event trace committed under docs/: a small
 # fixed-seed RR1 run through the -trace JSONL exporter.
@@ -61,7 +68,8 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Archive today's benchmark suite as BENCH_<date>.json (the perf
-# trajectory; commit the snapshot alongside perf-relevant PRs).
+# trajectory; commit the snapshot alongside perf-relevant PRs). The
+# snapshot records the toolchain: allocs/op depend on it.
 bench-json:
 	$(GO) test -bench=. -benchmem ./... | $(GO) run ./cmd/benchjson -o BENCH_$$(date +%Y-%m-%d).json
 
@@ -70,6 +78,8 @@ bench-json:
 # diff against the newest committed snapshot. ns/op is not gated here
 # because the hardware differs run to run; use
 # `benchjson -compare -ns-threshold=0.25 old new` manually for timing.
+# The compare prints both snapshots' toolchains: a baseline recorded
+# under another Go release can differ in allocs/op with no code change.
 BENCHTIME ?= 100ms
 bench-gate:
 	$(GO) test -bench=. -benchmem -benchtime=$(BENCHTIME) ./... | \

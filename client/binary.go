@@ -2,198 +2,68 @@ package client
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"net"
-	"sync"
 	"time"
 
 	"busarb/internal/arbd/codec"
+	"busarb/internal/arbd/wire"
 )
 
 // binaryTransport speaks the daemon's binary protocol (docs/WIRE.md):
-// one persistent TCP connection carrying length-prefixed frames, with
-// every in-flight call correlated by ID so any number of logical
-// agents multiplex over it. The connection is dialed eagerly by Dial
-// and redialed transparently if it tears; calls in flight when it
-// tears fail with the connection's error.
+// one persistent TCP connection (a wire.Conn) carrying
+// length-prefixed frames, with every in-flight call correlated by ID
+// so any number of logical agents multiplex over it. The connection
+// is dialed eagerly by Dial and redialed if it tears; calls in flight
+// when it tears fail with the connection's error, and calls that
+// never reached the wire are retried under the retry policy.
 type binaryTransport struct {
-	addr        string
-	dialTimeout time.Duration
-	retry       *retryPolicy
-	// onOwnerHint, when set (DialCluster), receives the owner hints a
-	// cluster node attaches to relayed responses (docs/WIRE.md routed
-	// frames): this resource's owner listens at addr. Called from the
-	// read loop without t.mu held; set before the first read loop
-	// starts and immutable after.
-	onOwnerHint func(resource, addr string)
-
-	mu      sync.Mutex
-	conn    net.Conn                // guarded by mu; nil between teardown and redial
-	w       *codec.Writer           // guarded by mu; writes serialized under it
-	corr    uint64                  // guarded by mu
-	pending map[uint64]chan outcome // guarded by mu
-	closed  bool                    // guarded by mu
+	conn  *wire.Conn
+	retry *retryPolicy
 }
 
-// outcome resolves one correlated call.
-type outcome struct {
-	lease Lease // valid for acquire grants
-	err   error
-}
-
-func newBinaryTransport(addr string, o options, onOwnerHint func(resource, addr string)) (*binaryTransport, error) {
-	t := &binaryTransport{
-		addr:        addr,
-		dialTimeout: o.dialTimeout,
-		retry:       newRetryPolicy(o),
-		onOwnerHint: onOwnerHint,
-		pending:     make(map[uint64]chan outcome),
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if err := t.ensureConnLocked(); err != nil {
-		return nil, err
+func newBinaryTransport(addr string, o options) (*binaryTransport, error) {
+	t := &binaryTransport{conn: wire.NewConn(addr, o.dialTimeout), retry: newRetryPolicy(o)}
+	if err := t.conn.Dial(); err != nil {
+		return nil, callError(err)
 	}
 	return t, nil
 }
 
-// ensureConnLocked dials if the connection is down and starts its
-// reader. Callers hold t.mu.
-func (t *binaryTransport) ensureConnLocked() error {
-	if t.closed {
-		return ErrClosed
-	}
-	if t.conn != nil {
+// call sends f under the retry policy and returns the daemon's
+// non-error reply; an Error frame becomes an *Error.
+func (t *binaryTransport) call(ctx context.Context, f *codec.Frame) (wire.Msg, error) {
+	var m wire.Msg
+	err := t.retry.run(ctx, func() error {
+		var err error
+		if m, err = t.conn.Call(ctx, f); err != nil {
+			return callError(err)
+		}
+		if m.Type == codec.TError {
+			return &Error{Code: m.Code, Msg: m.Text}
+		}
 		return nil
-	}
-	conn, err := net.DialTimeout("tcp", t.addr, t.dialTimeout)
-	if err != nil {
-		// Transient: nothing reached the wire, so the retry policy may
-		// redial.
-		return &transientError{fmt.Errorf("client: dial %s: %w", t.addr, err)}
-	}
-	t.conn = conn
-	t.w = codec.NewWriter(conn)
-	// The read loop's shutdown signal is the connection itself: close()
-	// closes conn, the blocked Next fails, and readLoop tears down and
-	// returns. No WaitGroup or done channel exists to tie it to.
-	//arblint:allow goroleak
-	go t.readLoop(conn)
-	return nil
+	})
+	return m, err
 }
 
-// readLoop owns conn's read side: it resolves correlated calls until
-// the connection ends, then fails whatever is still in flight.
-func (t *binaryTransport) readLoop(conn net.Conn) {
-	r := codec.NewReader(conn)
-	var f codec.Frame
-	for {
-		if err := r.Next(&f); err != nil {
-			t.teardown(conn, fmt.Errorf("client: connection to %s lost: %w", t.addr, err))
-			return
-		}
-		var out outcome
-		switch f.Type {
-		case codec.TGrant:
-			out.lease = Lease{
-				Resource: string(f.Resource),
-				Agent:    int(f.Agent),
-				Token:    string(f.Token),
-				TTL:      time.Duration(f.TTLNS),
-			}
-			t.noteOwnerHint(&f)
-		case codec.TReleased:
-			// success, zero outcome
-			t.noteOwnerHint(&f)
-		case codec.TError:
-			out.err = &Error{Code: int(f.Code), Msg: string(f.Msg)}
-		default:
-			// A frame type we never ask for: protocol skew. Drop the
-			// connection rather than guess.
-			t.teardown(conn, fmt.Errorf("client: unexpected %v frame from %s", f.Type, t.addr))
-			return
-		}
-		t.mu.Lock()
-		ch, ok := t.pending[f.Corr]
-		if ok {
-			delete(t.pending, f.Corr)
-		}
-		t.mu.Unlock()
-		if ok {
-			ch <- out // buffered; never blocks
-		}
-		// An unmatched correlation ID is a response to a call whose
-		// context was abandoned; its lease (if any) lapses at TTL.
+// callError maps a wire.Conn failure onto the client's taxonomy: a
+// closed client is ErrClosed, an abandoned call the deadline's 408,
+// and a call that never reached the wire is transient (retryable).
+func callError(err error) error {
+	switch {
+	case errors.Is(err, wire.ErrClosed):
+		return ErrClosed
+	case errors.Is(err, wire.ErrAbandoned):
+		return &Error{Code: 408, Msg: "client: context done before response: " + err.Error()}
+	case errors.Is(err, wire.ErrNotSent):
+		return &transientError{fmt.Errorf("client: %w", err)}
 	}
+	return fmt.Errorf("client: %w", err)
 }
 
-// teardown retires a torn connection and fails its in-flight calls.
-func (t *binaryTransport) teardown(conn net.Conn, err error) {
-	conn.Close()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.conn == conn {
-		t.conn = nil
-		t.w = nil
-	}
-	if t.closed {
-		err = ErrClosed
-	}
-	for corr, ch := range t.pending {
-		delete(t.pending, corr)
-		ch <- outcome{err: err}
-	}
-}
-
-// call writes one frame and waits for its correlated response.
-func (t *binaryTransport) call(ctx context.Context, f *codec.Frame) (Lease, error) {
-	t.mu.Lock()
-	if err := t.ensureConnLocked(); err != nil {
-		t.mu.Unlock()
-		return Lease{}, err
-	}
-	t.corr++
-	corr := t.corr
-	f.Corr = corr
-	ch := make(chan outcome, 1)
-	t.pending[corr] = ch
-	err := t.w.WriteFrame(f)
-	t.mu.Unlock()
-	if err != nil {
-		// The reader's teardown will (or already did) fail ch; prefer
-		// the write error for this caller. Transient: a failed write
-		// never reached the daemon, so retrying cannot double-acquire.
-		t.forget(corr)
-		return Lease{}, &transientError{fmt.Errorf("client: write to %s: %w", t.addr, err)}
-	}
-	select {
-	case out := <-ch:
-		return out.lease, out.err
-	case <-ctx.Done():
-		t.forget(corr)
-		return Lease{}, &Error{Code: 408, Msg: "client: context done before response: " + ctx.Err().Error()}
-	}
-}
-
-// forget abandons a pending correlation ID.
-func (t *binaryTransport) forget(corr uint64) {
-	t.mu.Lock()
-	delete(t.pending, corr)
-	t.mu.Unlock()
-}
-
-// noteOwnerHint surfaces a routed response's owner hint to the
-// cluster transport, if one is listening.
-func (t *binaryTransport) noteOwnerHint(f *codec.Frame) {
-	if t.onOwnerHint == nil || f.Flags&codec.FlagRouted == 0 {
-		return
-	}
-	if _, _, addr, ok := codec.ParseOwnerRoute(f.Route); ok && len(addr) > 0 {
-		t.onOwnerHint(string(f.Resource), string(addr))
-	}
-}
-
-func (t *binaryTransport) acquire(ctx context.Context, resource string, agent int, opts AcquireOptions) (Lease, error) {
+// acquireMsg sends one acquire and returns the daemon's reply.
+func (t *binaryTransport) acquireMsg(ctx context.Context, resource string, agent int, opts AcquireOptions) (wire.Msg, error) {
 	timeout := opts.Timeout
 	if timeout == 0 {
 		// No explicit timeout: let a context deadline bound the queue
@@ -201,42 +71,46 @@ func (t *binaryTransport) acquire(ctx context.Context, resource string, agent in
 		// the waiter instead of granting into an abandoned call.
 		if deadline, ok := ctx.Deadline(); ok {
 			if timeout = time.Until(deadline); timeout <= 0 {
-				return Lease{}, &Error{Code: 408, Msg: "client: context deadline already passed"}
+				return wire.Msg{}, &Error{Code: 408, Msg: "client: context deadline already passed"}
 			}
 		}
 	}
-	f := codec.Frame{
+	return t.call(ctx, &codec.Frame{
 		Type:      codec.TAcquire,
 		Agent:     uint32(agent),
 		TimeoutNS: int64(timeout),
 		TTLNS:     int64(opts.TTL),
 		Resource:  []byte(resource),
-	}
-	return t.retry.run(ctx, func() (Lease, error) { return t.call(ctx, &f) })
+	})
 }
 
-func (t *binaryTransport) release(ctx context.Context, resource, token string) error {
-	f := codec.Frame{
+// releaseMsg sends one release and returns the daemon's reply.
+func (t *binaryTransport) releaseMsg(ctx context.Context, resource, token string) (wire.Msg, error) {
+	return t.call(ctx, &codec.Frame{
 		Type:     codec.TRelease,
 		Resource: []byte(resource),
 		Token:    []byte(token),
+	})
+}
+
+// leaseOf maps a grant onto the public Lease.
+func leaseOf(m wire.Msg, err error) (Lease, error) {
+	if err != nil {
+		return Lease{}, err
 	}
-	_, err := t.retry.run(ctx, func() (Lease, error) { return t.call(ctx, &f) })
+	return Lease{Resource: m.Resource, Agent: m.Agent, Token: m.Token, TTL: m.TTL}, nil
+}
+
+func (t *binaryTransport) acquire(ctx context.Context, resource string, agent int, opts AcquireOptions) (Lease, error) {
+	return leaseOf(t.acquireMsg(ctx, resource, agent, opts))
+}
+
+func (t *binaryTransport) release(ctx context.Context, resource, token string) error {
+	_, err := t.releaseMsg(ctx, resource, token)
 	return err
 }
 
 func (t *binaryTransport) close() error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return nil
-	}
-	t.closed = true
-	conn := t.conn
-	t.mu.Unlock()
-	if conn != nil {
-		// The reader's teardown fails in-flight calls with ErrClosed.
-		conn.Close()
-	}
+	t.conn.Close()
 	return nil
 }

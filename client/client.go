@@ -218,7 +218,7 @@ func Dial(target string, opts ...Option) (*Client, error) {
 	case strings.HasPrefix(target, "http://"), strings.HasPrefix(target, "https://"):
 		return &Client{t: newHTTPTransport(target)}, nil
 	case strings.HasPrefix(target, "tcp://"):
-		t, err := newBinaryTransport(strings.TrimPrefix(target, "tcp://"), o, nil)
+		t, err := newBinaryTransport(strings.TrimPrefix(target, "tcp://"), o)
 		if err != nil {
 			return nil, err
 		}

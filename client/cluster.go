@@ -8,6 +8,9 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+
+	"busarb/internal/arbd/codec"
+	"busarb/internal/arbd/wire"
 )
 
 // clusterTransport fans a Client out over an arbd cluster
@@ -150,13 +153,21 @@ func (ct *clusterTransport) bootstrap(base string) error {
 	return nil
 }
 
-// learn records an owner hint from a routed response; it is the
-// binary transports' onOwnerHint callback.
-func (ct *clusterTransport) learn(resource, addr string) {
-	addr = strings.TrimPrefix(addr, "tcp://")
-	ct.addMember(addr)
+// learn records the owner hint a cluster node attaches to a relayed
+// answer (docs/WIRE.md routed frames): this resource's owner listens
+// at the hint's address.
+func (ct *clusterTransport) learn(resource string, m wire.Msg) {
+	if !m.Routed {
+		return
+	}
+	_, _, addr, ok := codec.ParseOwnerRoute([]byte(m.Route))
+	if !ok || len(addr) == 0 {
+		return
+	}
+	owner := strings.TrimPrefix(string(addr), "tcp://")
+	ct.addMember(owner)
 	ct.mu.Lock()
-	ct.owners[resource] = addr
+	ct.owners[resource] = owner
 	ct.mu.Unlock()
 }
 
@@ -192,7 +203,7 @@ func (ct *clusterTransport) conn(addr string) (*binaryTransport, error) {
 		return bt, nil
 	}
 	ct.mu.Unlock()
-	bt, err := newBinaryTransport(addr, ct.opts, ct.learn)
+	bt, err := newBinaryTransport(addr, ct.opts)
 	if err != nil {
 		return nil, err
 	}
@@ -216,40 +227,43 @@ func (ct *clusterTransport) conn(addr string) (*binaryTransport, error) {
 // only on errors that prove the request never reached a daemon: a
 // failed dial, or a retry budget spent entirely before the write.
 // Anything the server answered — including 503s — is the caller's to
-// see.
-func (ct *clusterTransport) do(resource string, call func(*binaryTransport) (Lease, error)) (Lease, error) {
+// see; a successful answer's owner hint is learned.
+func (ct *clusterTransport) do(resource string, call func(*binaryTransport) (wire.Msg, error)) (wire.Msg, error) {
 	var lastErr error
 	for _, addr := range ct.route(resource) {
 		bt, err := ct.conn(addr)
 		if err != nil {
 			if errors.Is(err, ErrClosed) {
-				return Lease{}, err
+				return wire.Msg{}, err
 			}
 			lastErr = err
 			continue
 		}
-		lease, err := call(bt)
+		m, err := call(bt)
 		if err != nil && errors.Is(err, ErrRetriesExhausted) {
 			lastErr = err
 			continue
 		}
-		return lease, err
+		if err == nil {
+			ct.learn(resource, m)
+		}
+		return m, err
 	}
 	if lastErr == nil {
 		lastErr = fmt.Errorf("client: no cluster members reachable")
 	}
-	return Lease{}, lastErr
+	return wire.Msg{}, lastErr
 }
 
 func (ct *clusterTransport) acquire(ctx context.Context, resource string, agent int, opts AcquireOptions) (Lease, error) {
-	return ct.do(resource, func(bt *binaryTransport) (Lease, error) {
-		return bt.acquire(ctx, resource, agent, opts)
-	})
+	return leaseOf(ct.do(resource, func(bt *binaryTransport) (wire.Msg, error) {
+		return bt.acquireMsg(ctx, resource, agent, opts)
+	}))
 }
 
 func (ct *clusterTransport) release(ctx context.Context, resource, token string) error {
-	_, err := ct.do(resource, func(bt *binaryTransport) (Lease, error) {
-		return Lease{}, bt.release(ctx, resource, token)
+	_, err := ct.do(resource, func(bt *binaryTransport) (wire.Msg, error) {
+		return bt.releaseMsg(ctx, resource, token)
 	})
 	return err
 }

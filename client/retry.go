@@ -86,20 +86,23 @@ func (p *retryPolicy) delay(attempt int) time.Duration {
 
 // run invokes call until it succeeds, fails permanently, or the
 // attempt budget is spent. A budget of 1 means no retries.
-func (p *retryPolicy) run(ctx context.Context, call func() (Lease, error)) (Lease, error) {
+func (p *retryPolicy) run(ctx context.Context, call func() error) error {
 	var last error
 	for attempt := 0; attempt < p.attempts; attempt++ {
 		if attempt > 0 {
 			if err := p.sleep(ctx, p.delay(attempt-1)); err != nil {
-				return Lease{}, &Error{Code: 408, Msg: "client: context done during retry backoff: " + err.Error()}
+				return &Error{Code: 408, Msg: "client: context done during retry backoff: " + err.Error()}
 			}
 		}
-		lease, err := call()
-		var te *transientError
-		if err == nil || !errors.As(err, &te) {
-			return lease, err
+		err := call()
+		// Transient errors come back unwrapped (callError builds them),
+		// so a type assertion suffices; errors.As would heap-allocate
+		// its target on every call.
+		te, ok := err.(*transientError)
+		if !ok {
+			return err
 		}
 		last = te.err
 	}
-	return Lease{}, fmt.Errorf("%w after %d attempts: %w", ErrRetriesExhausted, p.attempts, last)
+	return fmt.Errorf("%w after %d attempts: %w", ErrRetriesExhausted, p.attempts, last)
 }

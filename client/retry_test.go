@@ -105,15 +105,12 @@ func (s *fakeServer) stop() {
 }
 
 // waitTorn blocks until the transport's read loop has retired the
-// dead connection (conn nil under the lock).
+// dead connection.
 func waitTorn(t *testing.T, bt *binaryTransport) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		bt.mu.Lock()
-		torn := bt.conn == nil
-		bt.mu.Unlock()
-		if torn {
+		if !bt.conn.Connected() {
 			return
 		}
 		if time.Now().After(deadline) {
@@ -137,8 +134,8 @@ func TestRetrySchedule(t *testing.T) {
 		got = append(got, d)
 		return nil
 	}
-	_, err := p.run(context.Background(), func() (Lease, error) {
-		return Lease{}, &transientError{errors.New("dial refused")}
+	err := p.run(context.Background(), func() error {
+		return &transientError{errors.New("dial refused")}
 	})
 	if !errors.Is(err, ErrRetriesExhausted) {
 		t.Fatalf("err = %v, want ErrRetriesExhausted", err)
@@ -177,9 +174,9 @@ func TestRetryPermanentErrorStops(t *testing.T) {
 	}
 	calls := 0
 	want := &Error{Code: 404, Msg: "no such resource"}
-	_, err := p.run(context.Background(), func() (Lease, error) {
+	err := p.run(context.Background(), func() error {
 		calls++
-		return Lease{}, want
+		return want
 	})
 	if calls != 1 || !errors.Is(err, want) {
 		t.Fatalf("calls = %d, err = %v; want one call returning the server error", calls, err)
@@ -194,7 +191,7 @@ func TestRetryRecovers(t *testing.T) {
 	addr := srv.ln.Addr().String()
 	o := defaultOptions()
 	o.retryJitterSeed = 1
-	bt, err := newBinaryTransport(addr, o, nil)
+	bt, err := newBinaryTransport(addr, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +233,7 @@ func TestRetriesExhausted(t *testing.T) {
 	o := defaultOptions()
 	o.retryAttempts = 2
 	o.retryJitterSeed = 1
-	bt, err := newBinaryTransport(addr, o, nil)
+	bt, err := newBinaryTransport(addr, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,8 +260,8 @@ func TestRetryBackoffContext(t *testing.T) {
 		cancel()
 		return ctx.Err()
 	}
-	_, err := p.run(ctx, func() (Lease, error) {
-		return Lease{}, &transientError{errors.New("refused")}
+	err := p.run(ctx, func() error {
+		return &transientError{errors.New("refused")}
 	})
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("err = %v, want ErrDeadline", err)

@@ -5,6 +5,9 @@
 // and exits 1 on regressions: any allocs/op increase, or an ns/op
 // increase beyond -ns-threshold (negative disables the ns check — the
 // setting for CI, whose hardware differs from the archived runs').
+// Snapshots record the toolchain that built benchjson — the same one
+// that ran the piped benchmarks under `go run` — and -compare prints
+// both snapshots' toolchains: allocation counts depend on it.
 //
 // Usage:
 //
@@ -18,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"time"
 
 	"busarb/internal/report"
@@ -48,6 +52,7 @@ func main() {
 		os.Exit(1)
 	}
 	suite.Date = *date
+	suite.Go = runtime.Version()
 	if suite.Date == "" && *stamp {
 		// The one sanctioned wall-clock read in the repository: the
 		// BENCH_<date>.json archive is named after the day it was taken.
@@ -102,6 +107,10 @@ func runCompare(args []string, nsThreshold float64) {
 		os.Exit(1)
 	}
 	oldS, newS := readSnapshot(args[0]), readSnapshot(args[1])
+	fmt.Printf("benchjson: toolchains: %s %s, %s %s\n", args[0], toolchain(oldS), args[1], toolchain(newS))
+	if oldS.Go != newS.Go {
+		fmt.Println("benchjson: note: the toolchains differ; allocs/op can shift with the compiler and runtime alone")
+	}
 	regressions, missing := report.CompareBench(oldS, newS, nsThreshold)
 	for _, name := range missing {
 		fmt.Fprintf(os.Stderr, "benchjson: note: %s is in %s but not %s\n", name, args[0], args[1])
@@ -115,4 +124,12 @@ func runCompare(args []string, nsThreshold float64) {
 		fmt.Fprintln(os.Stderr, "benchjson: regression:", r)
 	}
 	os.Exit(1)
+}
+
+// toolchain names a snapshot's toolchain for the compare header.
+func toolchain(s *report.BenchSuite) string {
+	if s.Go == "" {
+		return "(toolchain not recorded)"
+	}
+	return s.Go
 }

@@ -81,6 +81,7 @@ func TestAnalyzerScope(t *testing.T) {
 		{analysis.AllocFree, "busarb/internal/sim", false},
 		{analysis.GoroLeak, "busarb/internal/arbd", true},
 		{analysis.GoroLeak, "busarb/internal/arbd/cluster", true},
+		{analysis.GoroLeak, "busarb/internal/arbd/wire", true},
 		{analysis.GoroLeak, "busarb/client", true},
 		{analysis.GoroLeak, "busarb/internal/arbd/codec", false},
 		{analysis.GoroLeak, "busarb/internal/sim", false},

@@ -7,9 +7,9 @@ import (
 	"io"
 	"net"
 	"sync"
-	"time"
 
 	"busarb/internal/arbd/codec"
+	"busarb/internal/arbd/wire"
 )
 
 // BinaryServer serves the daemon over the compact binary protocol
@@ -40,6 +40,33 @@ type BinaryServer struct {
 	closed bool                  // guarded by mu
 
 	wg sync.WaitGroup // one per live connection handler
+}
+
+// Router is the seam between the binary server and a cluster layer
+// (internal/arbd/cluster). A routed BinaryServer consults it per
+// request: resources the router owns are served by the local Daemon
+// exactly as on a standalone server; requests for foreign resources
+// go to Forward, which proxies them to the owning node. The server
+// stays transport-mechanical — membership, hop limits, deadline
+// decrements and connection pooling all live behind this interface.
+//
+// Implementations must be safe for concurrent use: the server calls
+// Owns from every connection's reader goroutine and Forward from
+// per-request goroutines.
+type Router interface {
+	// Owns reports whether the local node is the owner of resource
+	// under the cluster's ring. Unknown resources are "owned" too —
+	// the local daemon answers 404 with more context than a routing
+	// layer could.
+	Owns(resource string) bool
+
+	// Forward proxies an Acquire or Release to the owner and blocks
+	// until the owner answers, the forward fails, or ctx is done. It
+	// always returns a terminal reply (Grant, Released or Error) whose
+	// Route is the owner hint (codec.AppendOwnerRoute layout); the
+	// server relays it under FlagRouted with the request's correlation
+	// ID, so clients learn resource placement lazily.
+	Forward(ctx context.Context, req wire.Msg) wire.Msg
 }
 
 // ErrServerClosed is Serve's return after Close, mirroring
@@ -126,16 +153,6 @@ func (s *BinaryServer) dropConn(conn net.Conn) {
 	s.mu.Unlock()
 }
 
-// response is one server→client frame with owned (not buffer-aliased)
-// fields, queued for the connection's writer goroutine.
-type response struct {
-	frame codec.Frame
-	// resource, token, msg and route own the bytes frame's fields
-	// alias. route is encoded only when frame.Flags carries
-	// FlagRouted.
-	resource, token, msg, route string
-}
-
 // serveConn runs one connection: reader here, writer and per-acquire
 // goroutines below.
 func (s *BinaryServer) serveConn(conn net.Conn) {
@@ -149,29 +166,28 @@ func (s *BinaryServer) serveConn(conn net.Conn) {
 	defer cancel()
 
 	// The writer drains responses until the channel closes; a write
-	// error degrades it into a discard loop so blocked acquire
-	// goroutines can still finish sending.
-	responses := make(chan response, 64)
+	// error degrades it into a discard loop so blocked senders can
+	// still finish. The channel is closed only after every sender has
+	// finished (in-flight requests are waited for, the reader sends
+	// inline), so a send can neither deadlock nor panic.
+	responses := make(chan wire.Msg, 64)
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
 		w := codec.NewWriter(conn)
 		broken := false
-		for r := range responses {
+		for m := range responses {
 			if broken {
 				continue
 			}
-			r.frame.Resource = []byte(r.resource)
-			r.frame.Token = []byte(r.token)
-			r.frame.Msg = []byte(r.msg)
-			r.frame.Route = []byte(r.route)
-			if err := w.WriteFrame(&r.frame); err != nil {
+			f := m.Frame()
+			if err := w.WriteFrame(&f); err != nil {
 				broken = true
 			}
 		}
 	}()
 
-	var acquires sync.WaitGroup
+	var inflight sync.WaitGroup // acquires and forwards; they block
 	r := codec.NewReader(conn)
 	var f codec.Frame
 	for {
@@ -181,175 +197,80 @@ func (s *BinaryServer) serveConn(conn net.Conn) {
 			// Close — also just ends the conversation. A codec error is
 			// answered best-effort before hanging up.
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
-				s.enqueue(responses, response{
-					frame: codec.Frame{Type: codec.TError, Corr: f.Corr, Code: codeBadRequest},
-					msg:   fmt.Sprintf("arbd: %v", err),
-				})
+				rep := wire.ErrorMsg(codeBadRequest, fmt.Sprintf("arbd: %v", err))
+				rep.Corr = f.Corr
+				responses <- rep
 			}
 			break
 		}
-		switch f.Type {
-		case codec.TAcquire:
-			// Copy the buffer-aliased fields before the next Next call
-			// invalidates them; the acquire blocks in its own goroutine.
-			req := acquireArgs{
-				corr:     f.Corr,
-				resource: string(f.Resource),
-				agent:    int(int32(f.Agent)),
-				timeout:  time.Duration(f.TimeoutNS),
-				ttl:      time.Duration(f.TTLNS),
-				route:    string(f.Route),
-				routed:   f.Flags&codec.FlagRouted != 0,
-			}
-			if s.router != nil && !s.router.Owns(req.resource) {
-				s.forward(ctx, &acquires, responses, codec.TAcquire, ForwardFrame{
-					Resource: req.resource,
-					Agent:    req.agent,
-					Timeout:  req.timeout,
-					TTL:      req.ttl,
-					Corr:     req.corr,
-					Route:    []byte(req.route),
-					Routed:   req.routed,
-				})
-				continue
-			}
-			acquires.Add(1)
+		if f.Type != codec.TAcquire && f.Type != codec.TRelease {
+			rep := wire.ErrorMsg(codeBadRequest, fmt.Sprintf("arbd: unexpected %v frame", f.Type))
+			rep.Corr = f.Corr
+			responses <- rep
+			continue
+		}
+		// Own the buffer-aliased fields before the next Next call
+		// invalidates them.
+		req := wire.FromFrame(&f)
+		switch {
+		case s.router != nil && !s.router.Owns(req.Resource):
+			// A forward blocks on the owner, so it runs in its own
+			// goroutine, like a local acquire: release→response ordering
+			// is per-node, not preserved across a hop. The relay is always
+			// routed, carrying the router's owner hint.
+			inflight.Add(1)
 			go func() {
-				defer acquires.Done()
-				s.handleAcquire(ctx, responses, req)
+				defer inflight.Done()
+				rep := s.router.Forward(ctx, req)
+				rep.Corr, rep.Routed = req.Corr, true
+				responses <- rep
 			}()
-		case codec.TRelease:
-			corr := f.Corr
-			resource := string(f.Resource)
-			if s.router != nil && !s.router.Owns(resource) {
-				// A forwarded release blocks on the owner, so unlike the
-				// local path it runs in its own goroutine (joining the
-				// acquires group): release→response ordering is per-node,
-				// not preserved across a hop.
-				s.forward(ctx, &acquires, responses, codec.TRelease, ForwardFrame{
-					Resource: resource,
-					Token:    string(f.Token),
-					Corr:     corr,
-					Route:    []byte(f.Route),
-					Routed:   f.Flags&codec.FlagRouted != 0,
-				})
-				continue
-			}
+		case req.Type == codec.TAcquire:
+			inflight.Add(1)
+			go func() {
+				defer inflight.Done()
+				responses <- reply(req, s.acquire(ctx, req))
+			}()
+		default:
 			// Releases resolve against the shard loop without blocking
 			// on a grant, so they are answered inline, preserving
 			// release→response ordering on the connection.
-			routed, route := f.Flags&codec.FlagRouted != 0, string(f.Route)
-			if serr := s.d.Release(resource, string(f.Token)); serr != nil {
-				s.enqueue(responses, stampRoute(errResponse(corr, serr), routed, route))
-			} else {
-				s.enqueue(responses, stampRoute(response{
-					frame:    codec.Frame{Type: codec.TReleased, Corr: corr},
-					resource: resource,
-				}, routed, route))
+			rep := wire.Msg{Type: codec.TReleased, Resource: req.Resource}
+			if serr := s.d.Release(req.Resource, req.Token); serr != nil {
+				rep = wire.ErrorMsg(serr.code, serr.msg)
 			}
-		default:
-			s.enqueue(responses, response{
-				frame: codec.Frame{Type: codec.TError, Corr: f.Corr, Code: codeBadRequest},
-				msg:   fmt.Sprintf("arbd: unexpected %v frame", f.Type),
-			})
+			responses <- reply(req, rep)
 		}
 	}
-	// Reader is done: cancel in-flight acquires, let them finish
+	// Reader is done: cancel in-flight requests, let them finish
 	// replying, then retire the writer.
 	cancel()
-	acquires.Wait()
+	inflight.Wait()
 	close(responses)
 	<-writerDone
 }
 
-// acquireArgs is one decoded acquire with owned fields. route/routed
-// carry the incoming route field so owner-side responses to forwarded
-// frames echo it back under FlagRouted.
-type acquireArgs struct {
-	corr     uint64
-	resource string
-	agent    int
-	timeout  time.Duration
-	ttl      time.Duration
-	route    string
-	routed   bool
-}
-
-// handleAcquire blocks on the shard and queues the response.
-func (s *BinaryServer) handleAcquire(ctx context.Context, responses chan<- response, req acquireArgs) {
-	lease, serr := s.d.Acquire(ctx, req.resource, req.agent, req.timeout, req.ttl)
+// acquire blocks on the shard and returns the grant or error.
+func (s *BinaryServer) acquire(ctx context.Context, req wire.Msg) wire.Msg {
+	lease, serr := s.d.Acquire(ctx, req.Resource, req.Agent, req.Timeout, req.TTL)
 	if serr != nil {
-		s.enqueue(responses, stampRoute(errResponse(req.corr, serr), req.routed, req.route))
-		return
+		return wire.ErrorMsg(serr.code, serr.msg)
 	}
-	s.enqueue(responses, stampRoute(response{
-		frame: codec.Frame{
-			Type:  codec.TGrant,
-			Corr:  req.corr,
-			Agent: uint32(lease.Agent),
-			TTLNS: int64(lease.TTL),
-		},
-		resource: lease.Resource,
-		token:    lease.Token,
-	}, req.routed, req.route))
-}
-
-// forward hands a non-owned frame to the router in its own goroutine
-// (joining the connection's acquires group — Close semantics are
-// identical to a blocked local acquire) and queues the router's
-// terminal reply, always under FlagRouted with the router's owner
-// hint in the route field.
-func (s *BinaryServer) forward(ctx context.Context, acquires *sync.WaitGroup, responses chan<- response, t codec.Type, ff ForwardFrame) {
-	acquires.Add(1)
-	go func() {
-		defer acquires.Done()
-		var rep ForwardReply
-		if t == codec.TAcquire {
-			rep = s.router.ForwardAcquire(ctx, ff)
-		} else {
-			rep = s.router.ForwardRelease(ctx, ff)
-		}
-		s.enqueue(responses, response{
-			frame: codec.Frame{
-				Type:  rep.Type,
-				Flags: codec.FlagRouted,
-				Corr:  ff.Corr,
-				Agent: uint32(rep.Agent),
-				TTLNS: int64(rep.TTL),
-				Code:  uint16(rep.Code),
-			},
-			resource: rep.Resource,
-			token:    rep.Token,
-			msg:      rep.Msg,
-			route:    string(rep.Route),
-		})
-	}()
-}
-
-// stampRoute marks a response as the answer to a routed frame,
-// echoing the request's route field; unrouted responses pass through
-// unchanged.
-func stampRoute(r response, routed bool, route string) response {
-	if routed {
-		r.frame.Flags |= codec.FlagRouted
-		r.route = route
-	}
-	return r
-}
-
-// errResponse maps a statusError onto a wire error frame.
-func errResponse(corr uint64, serr *statusError) response {
-	return response{
-		frame: codec.Frame{Type: codec.TError, Corr: corr, Code: uint16(serr.code)},
-		msg:   serr.msg,
+	return wire.Msg{
+		Type:     codec.TGrant,
+		Resource: lease.Resource,
+		Agent:    lease.Agent,
+		TTL:      lease.TTL,
+		Token:    lease.Token,
 	}
 }
 
-// enqueue hands a response to the writer goroutine. The channel is
-// only closed after every possible sender has finished (acquires are
-// waited for, the reader enqueues inline), and the writer drains it
-// to the end even on a broken connection, so the send cannot deadlock
-// or panic.
-func (s *BinaryServer) enqueue(responses chan<- response, r response) {
-	responses <- r
+// reply addresses rep as the answer to req: req's correlation ID and,
+// when req crossed a node, its route field echoed under FlagRouted.
+func reply(req, rep wire.Msg) wire.Msg {
+	rep.Corr = req.Corr
+	if req.Routed {
+		rep.Routed, rep.Route = true, req.Route
+	}
+	return rep
 }

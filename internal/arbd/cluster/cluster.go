@@ -32,6 +32,7 @@ import (
 
 	"busarb/internal/arbd"
 	"busarb/internal/arbd/codec"
+	"busarb/internal/arbd/wire"
 )
 
 // Member is one node of the cluster: a stable name (the ring hashes
@@ -221,7 +222,7 @@ func (n *Node) Serve(ln net.Listener) error { return n.server.Serve(ln) }
 func (n *Node) Close() error {
 	err := n.server.Close()
 	for _, name := range n.peerNames {
-		n.peers[name].close()
+		n.peers[name].conn.Close()
 	}
 	n.daemon.Close()
 	return err
@@ -261,92 +262,71 @@ func (n *Node) Owns(resource string) bool {
 	return !ok || owner == n.cfg.Self
 }
 
-// ForwardAcquire proxies an acquire to the owner: stamp or advance
-// the route field, decrement the deadline for the hop, push the frame
-// down the owner's pooled connection, and relay the terminal answer
-// with an owner hint attached.
-func (n *Node) ForwardAcquire(ctx context.Context, f arbd.ForwardFrame) arbd.ForwardReply {
+// Forward proxies an acquire or release to the owner: stamp or
+// advance the route field, decrement an acquire's deadline for the
+// hop, push the frame down the owner's pooled connection, and return
+// the terminal answer with an owner hint attached.
+func (n *Node) Forward(ctx context.Context, req wire.Msg) wire.Msg {
 	start := time.Now() //arblint:allow determinism forward latency is an operational metric, not simulation output
-	timeout := f.Timeout
-	if timeout > 0 {
-		// Per-hop decrement: the owner must answer 408 before the
-		// origin client's own deadline fires, or the client times out
-		// with the request still queued on the owner. One eighth per
-		// hop keeps a multi-hop chain monotonically tighter.
-		timeout -= timeout / 8
-	}
-	rep, ok := n.forward(ctx, f, &codec.Frame{
-		Type:      codec.TAcquire,
-		Flags:     codec.FlagRouted,
-		Agent:     uint32(f.Agent),
-		TimeoutNS: int64(timeout),
-		TTLNS:     int64(f.TTL),
-		Resource:  []byte(f.Resource),
-	})
-	n.fwd.record(time.Since(start), rep.Type == codec.TError, ok)
+	rep, crossed := n.forward(ctx, req)
+	n.fwd.record(time.Since(start), rep.Type == codec.TError, crossed)
 	return rep
 }
 
-// ForwardRelease proxies a release to the owner.
-func (n *Node) ForwardRelease(ctx context.Context, f arbd.ForwardFrame) arbd.ForwardReply {
-	start := time.Now() //arblint:allow determinism forward latency is an operational metric, not simulation output
-	rep, ok := n.forward(ctx, f, &codec.Frame{
-		Type:     codec.TRelease,
-		Flags:    codec.FlagRouted,
-		Resource: []byte(f.Resource),
-		Token:    []byte(f.Token),
-	})
-	n.fwd.record(time.Since(start), rep.Type == codec.TError, ok)
-	return rep
-}
-
-// forward finishes route handling common to both verbs and performs
-// the hop. ok reports whether the frame actually crossed the wire
-// (local failures — hop limit, bad route, full queue — don't count as
-// forward latency samples). The reply always carries the owner-hint
-// route for the response relay.
-func (n *Node) forward(ctx context.Context, f arbd.ForwardFrame, wire *codec.Frame) (arbd.ForwardReply, bool) {
+// forward performs the hop. crossed reports whether the frame
+// actually reached the owner's connection (local failures — hop
+// limit, bad route, full queue — don't count as forward latency
+// samples). The reply always carries the owner-hint route.
+func (n *Node) forward(ctx context.Context, req wire.Msg) (rep wire.Msg, crossed bool) {
 	var hops uint8
 	origin := []byte(n.cfg.Self)
-	corr := f.Corr
-	if f.Routed {
+	corr := req.Corr
+	if req.Routed {
 		// The frame already crossed a node: keep its origin stamp,
 		// advance the hop count, and refuse to bounce past the limit —
 		// two nodes forwarding to each other means their rings disagree,
 		// and error beats orbit.
-		h, o, c, ok := codec.ParseRequestRoute(f.Route)
+		h, o, c, ok := codec.ParseRequestRoute([]byte(req.Route))
 		if !ok {
-			return n.hint(f.Resource, arbd.ErrorReply(400, "cluster: malformed route field"), 0), false
+			return n.hint(req.Resource, wire.ErrorMsg(400, "cluster: malformed route field"), 0), false
 		}
 		hops, origin, corr = h, o, c
 	}
 	hops++
 	if int(hops) > n.cfg.HopLimit {
-		return n.hint(f.Resource, arbd.ErrorReply(503, fmt.Sprintf(
-			"cluster: hop limit %d exceeded for %q (ring disagreement?)", n.cfg.HopLimit, f.Resource)), hops), false
+		return n.hint(req.Resource, wire.ErrorMsg(503, fmt.Sprintf(
+			"cluster: hop limit %d exceeded for %q (ring disagreement?)", n.cfg.HopLimit, req.Resource)), hops), false
 	}
-	wire.Route = codec.AppendRequestRoute(nil, hops, origin, corr)
-
-	owner := n.owners[f.Resource]
+	owner := n.owners[req.Resource]
 	p := n.peers[owner]
 	if p == nil {
 		// Owns() said foreign, so the owner must be a peer; a miss here
 		// is a programming error upstream, answered not crashed.
-		return n.hint(f.Resource, arbd.ErrorReply(503, fmt.Sprintf("cluster: no peer for owner %q", owner)), hops), false
+		return n.hint(req.Resource, wire.ErrorMsg(503, fmt.Sprintf("cluster: no peer for owner %q", owner)), hops), false
 	}
-	rep, crossed := p.call(ctx, wire)
-	return n.hint(f.Resource, rep, hops), crossed
+	f := req.Frame()
+	f.Flags = codec.FlagRouted
+	var route [64]byte // typical routes fit, so building one costs no allocation
+	f.Route = codec.AppendRequestRoute(route[:0], hops, origin, corr)
+	if f.Type == codec.TAcquire && f.TimeoutNS > 0 {
+		// Per-hop decrement: the owner must answer 408 before the
+		// origin client's own deadline fires, or the client times out
+		// with the request still queued on the owner. One eighth per
+		// hop keeps a multi-hop chain monotonically tighter.
+		f.TimeoutNS -= f.TimeoutNS / 8
+	}
+	rep, crossed = p.call(ctx, &f)
+	return n.hint(req.Resource, rep, hops), crossed
 }
 
 // hint attaches the owner hint the response relay carries back to the
 // origin client (codec.AppendOwnerRoute layout): which member owns
 // resource and where its binary listener is, so topology-aware
 // clients stop needing the forward.
-func (n *Node) hint(resource string, rep arbd.ForwardReply, hops uint8) arbd.ForwardReply {
-	if m, ok := n.Owner(resource); ok {
-		rep.Route = codec.AppendOwnerRoute(nil, hops, []byte(m.Name), []byte(m.Addr))
-	} else {
-		rep.Route = codec.AppendOwnerRoute(nil, hops, nil, nil)
-	}
+// An unknown resource gets an empty hint.
+func (n *Node) hint(resource string, rep wire.Msg, hops uint8) wire.Msg {
+	m, _ := n.Owner(resource)
+	var route [64]byte
+	rep.Route = string(codec.AppendOwnerRoute(route[:0], hops, []byte(m.Name), []byte(m.Addr)))
 	return rep
 }

@@ -410,6 +410,82 @@ func TestForwardQueueFull(t *testing.T) {
 	}
 }
 
+// TestForwardOwnerDiesMidCall pins the forward path's failure on a
+// torn inter-node connection: with a forwarded acquire parked on the
+// owner's queue, the owner dies. The origin client must get a 503
+// rather than hang, and once the owner is back at its address the
+// entry node's next forward must redial it.
+func TestForwardOwnerDiesMidCall(t *testing.T) {
+	rcs := []arbd.ResourceConfig{res("bus", 4, "RR1")}
+	var cfg Config
+	tc := startCluster(t, []string{"a", "b", "c"}, rcs, func(c *Config) { cfg = *c })
+	owner, other := tc.owner(t, "bus"), tc.nonOwner(t, "bus")
+	ctx := context.Background()
+
+	// Park a lease on the owner so the forwarded acquire stays queued.
+	holder, err := client.Dial("tcp://" + tc.addrs[owner])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer holder.Close()
+	if _, err := holder.Acquire(ctx, "bus", 1, client.AcquireOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	c, err := client.Dial("tcp://" + tc.addrs[other])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	result := make(chan error, 1)
+	go func() {
+		_, err := c.Acquire(ctx, "bus", 2, client.AcquireOptions{})
+		result <- err
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for tc.nodes[owner].Daemon().Metrics()["bus"].Agents[1].Requests == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("forwarded acquire never reached the owner's queue")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	tc.nodes[owner].Close()
+	select {
+	case err := <-result:
+		var ce *client.Error
+		if !asClientError(err, &ce) || ce.Code != 503 {
+			t.Fatalf("in-flight forward err = %v, want a 503 *client.Error", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("in-flight forward hung after the owner died")
+	}
+
+	// Bring the owner back at the same address.
+	ln, err := net.Listen("tcp", tc.addrs[owner])
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Self = owner
+	n, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc.nodes[owner] = n
+	go n.Serve(ln)
+
+	before := tc.nodes[other].ForwardMetrics().Forwards
+	lease, err := c.Acquire(ctx, "bus", 2, client.AcquireOptions{})
+	if err != nil {
+		t.Fatalf("forward after the owner came back: %v", err)
+	}
+	if err := c.Release(ctx, lease); err != nil {
+		t.Fatal(err)
+	}
+	if got := tc.nodes[other].ForwardMetrics().Forwards; got < before+2 {
+		t.Errorf("forwards = %d after the redial, want at least %d (acquire + release)", got, before+2)
+	}
+}
+
 // TestClusterzAgreement pins the /clusterz document: every member
 // publishes the same ring parameters, member list, and owner map, and
 // the document names its publisher.

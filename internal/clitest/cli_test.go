@@ -189,6 +189,36 @@ func TestBenchJSONStampReproducible(t *testing.T) {
 	}
 }
 
+// TestBenchJSONToolchain pins the toolchain stamp: the snapshot
+// records the runtime.Version() that built benchjson, and -compare
+// names both snapshots' toolchains (an unrecorded one says so) and
+// notes when they differ, since allocs/op move with the compiler and
+// runtime alone.
+func TestBenchJSONToolchain(t *testing.T) {
+	bins := buildCmds(t)
+	bench := "pkg: busarb/internal/bussim\nBenchmarkRun \t 10 \t 1000 ns/op \t 8 B/op \t 12 allocs/op\n"
+	code, out := runStdout(t, bins["benchjson"], bench, "-stamp=false")
+	if code != 0 {
+		t.Fatalf("benchjson exited %d", code)
+	}
+	if !strings.Contains(out, `"go": "`+runtime.Version()+`"`) {
+		t.Fatalf("snapshot does not record the toolchain %s:\n%s", runtime.Version(), out)
+	}
+	snap := filepath.Join(t.TempDir(), "new.json")
+	if err := os.WriteFile(snap, []byte(out), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, out = runStdout(t, bins["benchjson"], "", "-compare", "-ns-threshold=-1", "testdata/bench-old.json", snap)
+	if code != 0 {
+		t.Fatalf("benchjson -compare exited %d:\n%s", code, out)
+	}
+	for _, want := range []string{"toolchain not recorded", runtime.Version(), "toolchains differ"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("compare output missing %q:\n%s", want, out)
+		}
+	}
+}
+
 // TestArbdLifecycle pins the daemon's process contract end to end: it
 // announces both listen addresses on stdout, serves a real arbload run
 // over each transport, and a SIGTERM is a clean exit 0.

@@ -32,7 +32,11 @@ type BenchResult struct {
 // BenchSuite is a full `go test -bench` run: the environment header plus
 // every benchmark line, in output order.
 type BenchSuite struct {
-	Date       string        `json:"date"` // YYYY-MM-DD, set by the caller
+	Date string `json:"date"` // YYYY-MM-DD, set by the caller
+	// Go is the toolchain that built the run (benchjson records its
+	// own runtime.Version()): allocation counts move with the compiler
+	// and runtime, so a snapshot is only comparable under its toolchain.
+	Go         string        `json:"go,omitempty"`
 	Goos       string        `json:"goos,omitempty"`
 	Goarch     string        `json:"goarch,omitempty"`
 	CPU        string        `json:"cpu,omitempty"`
